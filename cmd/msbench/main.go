@@ -14,7 +14,7 @@
 // A dag section adds the precedence-constrained family axis: seeded
 // instances under chain / out-tree / random DAG shapes solved with both
 // edge-aware registry solvers and both evaluation paths (compiled
-// breakpoint tables vs the legacy task-struct reference), pinned by
+// tables vs the legacy task-struct reference), pinned by
 // certificate bits and plan hashes — bit-identical across paths and runs —
 // plus cold/hot solve timing and allocation columns that track the
 // compiled DAG path against its reference.
@@ -209,7 +209,7 @@ type dagResult struct {
 	Lower    string  `json:"lower"`    // hex float: exact bits
 	Ratio    float64 `json:"ratio"`
 	PlanHash string  `json:"plan_hash"`
-	// Compiled reports whether the cell ran the compiled breakpoint-table
+	// Compiled reports whether the cell ran the compiled-table
 	// path with the λ-segment cache (false = the legacy task-struct
 	// reference, precedence.Options.Legacy).
 	Compiled bool `json:"compiled"`

@@ -38,7 +38,7 @@ func CanonicalList(in *instance.Instance, lambda float64, reallocate bool) *sche
 // the segment cache). order is read, never modified.
 func canonicalListFromAllotment(v view, a Allotment, order []int, reallocate bool, sc *Scratch) *schedule.Schedule {
 	m := v.in.M
-	s := &schedule.Schedule{Algorithm: "canonical-list"}
+	s := &schedule.Schedule{Algorithm: "canonical-list", Placements: make([]schedule.Placement, 0, len(order))}
 	if reallocate {
 		s.Algorithm = "canonical-list+realloc"
 	}

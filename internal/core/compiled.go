@@ -10,10 +10,10 @@ import (
 // compiled struct-of-arrays tables when the search carries an
 // instance.Compiled, from the task structs otherwise (the legacy path, kept
 // as the benchmark reference and for the exported one-shot helpers). Both
-// resolve to the exact same float values — the compiled matrices are
-// flattened copies and the breakpoint thresholds are float-exact against
-// task.Leq — so every construction built on a view is bit-identical across
-// the two paths; the equivalence and golden tests enforce it.
+// resolve to the exact same float values — the compiled time matrix is a
+// flattened copy and Gamma runs task.Canonical's own search on it — so
+// every construction built on a view is bit-identical across the two
+// paths; the equivalence and golden tests enforce it.
 type view struct {
 	in *instance.Instance
 	c  *instance.Compiled // nil on the legacy path
@@ -37,10 +37,8 @@ func (v view) seqTime(i int) float64 {
 	return v.in.Tasks[i].SeqTime()
 }
 
-// canonical returns γ_i(λ) = min{p : t_i(p) ≤ λ}. The compiled form binary
-// searches the precomputed λ-threshold row (plain float compares); the
-// legacy form evaluates task.Leq at every step. Bit-identical by threshold
-// exactness.
+// canonical returns γ_i(λ) = min{p : t_i(p) ≤ λ}. Both forms run the same
+// task.Leq binary search, the compiled one over the flattened row.
 func (v view) canonical(i int, lambda float64) (int, bool) {
 	if v.c != nil {
 		return v.c.Gamma(i, lambda)
@@ -61,7 +59,7 @@ const segCacheCap = 512
 // derives that are constant on the segment: the canonical allotment
 // vector (with its existence verdict and total canonical work) and, filled
 // lazily because rejected probes never need them, the by-decreasing-time
-// order and the prefix area. The compiled breakpoint axis guarantees every
+// order and the prefix area. instance.Compiled.Segment guarantees every
 // deadline in one segment derives the exact same tables, so a probe
 // landing in any previously-probed segment — the bisection endgame, and
 // every probe of a memo-warm re-search on a shared Scratch — pays zero

@@ -77,7 +77,7 @@ type StepResult struct {
 // the guarantee is per-branch, so taking the minimum only helps.
 //
 // This exported one-shot runs the legacy (uncompiled) path on a pooled
-// Scratch; searches use the compiled breakpoint tables through Approximate.
+// Scratch; searches use the compiled tables through Approximate.
 func DualStep(in *instance.Instance, lambda float64, p Params) StepResult {
 	sc := getScratch()
 	r := dualStep(in, nil, lambda, p, sc, nil)
@@ -89,7 +89,7 @@ func DualStep(in *instance.Instance, lambda float64, p Params) StepResult {
 // from sc, and only the returned schedule (a fresh allocation) survives the
 // next probe on the same sc. With a non-nil c the probe resolves the
 // canonical allotment, its work, the by-decreasing-time order and the
-// prefix area through the compiled breakpoint tables and sc's λ-segment
+// prefix area through the compiled tables and sc's λ-segment
 // cache — bit-identical to the legacy computation, but free when the
 // segment repeats. A non-nil interrupt is polled between the probe's
 // constructions (each is the O(n log n)-or-worse unit of work), so a

@@ -70,7 +70,7 @@ func malleableList(v view, lambda float64, sc *Scratch) *schedule.Schedule {
 		})
 	}
 
-	s := &schedule.Schedule{Algorithm: "malleable-list"}
+	s := &schedule.Schedule{Algorithm: "malleable-list", Placements: make([]schedule.Placement, 0, len(order))}
 	x := 0
 	seq := sc.seq[:0]
 	for _, i := range order {

@@ -16,7 +16,7 @@ import "malsched/internal/instance"
 type Prober interface {
 	// Probe evaluates the guess λ on the instance: either a schedule of
 	// makespan ≤ ρλ or a rejection (see StepResult). c carries the
-	// instance's compiled λ-breakpoint tables (nil = legacy path); working
+	// instance's compiled tables (nil = legacy path); working
 	// memory comes from sc; a non-nil interrupt aborts mid-probe with
 	// StepResult{Interrupted: true}.
 	Probe(in *instance.Instance, c *instance.Compiled, lambda float64, p Params, sc *Scratch, interrupt <-chan struct{}) StepResult

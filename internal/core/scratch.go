@@ -18,9 +18,9 @@ import (
 // On the compiled path the Scratch additionally carries the two
 // λ-segment caches (seg for the probe deadline, mseg for §3.1's relaxed
 // deadline): the canonical allotment vector, its total work, the
-// by-decreasing-time order and the prefix area are constant on each segment
-// of the compiled breakpoint axis, so a probe landing in a previously
-// cached segment reuses them wholesale.
+// by-decreasing-time order and the prefix area are constant on each
+// λ-segment (instance.Compiled.Segment), so a probe landing in a
+// previously cached segment reuses them wholesale.
 //
 // A Scratch is not safe for concurrent use: pool one per worker (the
 // engine's worker pool does exactly that). All constructions produce

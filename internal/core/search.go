@@ -35,7 +35,7 @@ type Options struct {
 	// fully sequential search.
 	Parallelism int
 	// Compiled, when non-nil, supplies the instance's precompiled
-	// λ-breakpoint tables (instance.Compile) and must describe exactly the
+	// tables (instance.Compile) and must describe exactly the
 	// instance being solved (same machine size and time tables; names may
 	// differ — the tables are name-independent). When nil, Approximate
 	// compiles the instance itself before the first probe. Either way every
@@ -220,9 +220,9 @@ func Approximate(in *instance.Instance, opts Options) (Result, error) {
 		c = nil
 	} else if c == nil {
 		// Compile once per search: every probe — tens of them, all on this
-		// one instance — then resolves canonical allotments by threshold
-		// compares and reuses the segment caches. Callers with a compiled
-		// cache pass Options.Compiled and skip even this.
+		// one instance — then resolves canonical allotments from the
+		// flattened time matrix and reuses the segment caches. Callers
+		// with a compiled cache pass Options.Compiled and skip even this.
 		c = instance.Compile(in)
 	}
 

@@ -38,8 +38,7 @@ func NewPartition(in *instance.Instance, a Allotment, mu float64) (*Partition, e
 
 // newPartition computes the partition into sc's reused Partition value; the
 // result is valid until the next probe on sc. The compiled path resolves
-// t_i(γ_i) from the flattened matrix and d_i = γ_i(μλ) from the breakpoint
-// tables.
+// t_i(γ_i) and d_i = γ_i(μλ) from the flattened time matrix.
 func newPartition(v view, a Allotment, mu float64, sc *Scratch) (*Partition, error) {
 	lambda := a.Lambda
 	p := &sc.part
@@ -220,7 +219,7 @@ func trivialSolution(v view, a Allotment, part *Partition, sc *Scratch) TwoShelf
 			continue
 		}
 		if a.Gamma[i] >= need {
-			s := &schedule.Schedule{Algorithm: "two-shelf"}
+			s := &schedule.Schedule{Algorithm: "two-shelf", Placements: make([]schedule.Placement, 0, in.N())}
 			x := 0
 			place := func(t int, width int, start float64) bool {
 				if x+width > in.M {
@@ -268,7 +267,7 @@ func trivialSolution(v view, a Allotment, part *Partition, sc *Scratch) TwoShelf
 // buildTwoShelf materialises the μ-schedule once the moved subset is known.
 func buildTwoShelf(in *instance.Instance, a Allotment, part *Partition, moved []int, method string) TwoShelfResult {
 	lambda := a.Lambda
-	s := &schedule.Schedule{Algorithm: "two-shelf"}
+	s := &schedule.Schedule{Algorithm: "two-shelf", Placements: make([]schedule.Placement, 0, in.N())}
 	inMoved := make(map[int]bool, len(moved))
 	for _, i := range moved {
 		inMoved[i] = true

@@ -23,8 +23,8 @@ type SolveTrace struct {
 type ProbeTrace struct {
 	// Lambda is the deadline guess.
 	Lambda float64
-	// Segment is the λ-breakpoint segment index of Lambda in the compiled
-	// tables; −1 on the legacy (uncompiled) path.
+	// Segment is the λ-segment index of Lambda in the compiled tables
+	// (instance.Compiled.Segment); −1 on the legacy (uncompiled) path.
 	Segment int
 	// Accepted reports whether the dual step produced a schedule.
 	Accepted bool

@@ -38,10 +38,10 @@ type WarmStart struct {
 	AcceptedLambda float64
 	// Floor is the prior run's largest rejected guess.
 	Floor float64
-	// Segment is the breakpoint-segment index of AcceptedLambda in the
-	// prior run's compiled tables. It is provenance for lineage debugging
-	// and the fuzz surface for "wrong segment" seeds; the search never
-	// trusts it for correctness.
+	// Segment is the λ-segment index of AcceptedLambda in the prior run's
+	// compiled tables (instance.Compiled.Segment). It is provenance for
+	// lineage debugging and the fuzz surface for "wrong segment" seeds; the
+	// search never trusts it for correctness.
 	Segment int
 	// History is the prior run's consumed probe outcomes in consumption
 	// order.

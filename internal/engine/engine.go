@@ -51,7 +51,7 @@ type Engine struct {
 	// compiled caches instance.Compiled values keyed by the workload-only
 	// fingerprint (no options): batch siblings, memo-miss re-solves under
 	// different options and service requests of a repeated shape all reuse
-	// one set of λ-breakpoint tables. Sized with the memo and disabled
+	// one set of compiled tables. Sized with the memo and disabled
 	// along with it (negative MemoCapacity).
 	compiled *lru[*instance.Compiled]
 	scratch  sync.Pool
@@ -183,7 +183,7 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// CompiledFor returns the compiled λ-breakpoint tables for the instance,
+// CompiledFor returns the compiled tables for the instance,
 // from the compiled cache when one is configured (counting hits and
 // misses; a miss compiles and caches). The returned tables may come from a
 // renamed copy of the same workload — they are name-independent. The
@@ -240,7 +240,7 @@ func (e *Engine) ScheduleWithHash(in *instance.Instance, o Options, timeout time
 }
 
 // ScheduleCompiled is ScheduleWithHash for callers that additionally hold
-// the instance's compiled λ-breakpoint tables (typically from CompiledFor):
+// the instance's compiled tables (typically from CompiledFor):
 // the solve consumes them directly instead of probing the compiled cache.
 // c must describe the same workload as in (same machine size and time
 // tables; names may differ) — CompiledFor guarantees that.
@@ -375,7 +375,7 @@ func (e *Engine) runWith(idx int, in *instance.Instance, opts Options, timeout t
 	}
 	e.scheduled.Add(1)
 
-	// Resolve the compiled λ-breakpoint tables after admission (a poisoned
+	// Resolve the compiled tables after admission (a poisoned
 	// instance never reaches Compile) and after the memo probe (a hit
 	// needs no tables at all). Legacy solves skip them by definition, and
 	// so do solvers without a dual search — nothing would read them.

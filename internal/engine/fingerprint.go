@@ -102,7 +102,7 @@ func hashEdges(h *fnv64, edges [][]int) {
 
 // instanceHash is the workload-only prefix of the fingerprint: machine
 // size and every task's full time table, no options. The compiled-instance
-// cache keys on it alone, because compiled breakpoint tables depend only on
+// cache keys on it alone, because compiled tables depend only on
 // the workload — memo-miss re-solves of the same shape under different
 // options still skip recompilation.
 func instanceHash(in *instance.Instance) fnv64 {

@@ -78,7 +78,7 @@ func (o Options) solverName() string {
 }
 
 // WantsCompiled reports whether the options resolve to a solver that can
-// consume compiled λ-breakpoint tables: the paper's dual search ("mrt"),
+// consume compiled tables: the paper's dual search ("mrt"),
 // the DAG solvers ("dag", "dag-crossover", whose crossover search resolves
 // canonical allotments through the same tables), or a portfolio that
 // includes one of them (the registered "portfolio" does). The engine and
@@ -190,7 +190,7 @@ func Solve(in *instance.Instance, o Options) (Solution, error) {
 
 // solve is Solve with the engine-only hooks: sc supplies reusable probe
 // buffers (nil allocates per call), interrupt aborts the dual search early
-// (nil never fires), ci supplies precompiled λ-breakpoint tables (nil
+// (nil never fires), ci supplies precompiled tables (nil
 // lets the search compile its own), and warm runs the dual search in warm
 // mode against the lineage seed (nil solves cold). Plan validation lives
 // inside each registered solver, so portfolio members are checked

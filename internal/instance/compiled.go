@@ -1,39 +1,28 @@
 package instance
 
 import (
-	"math"
-	"sort"
+	"slices"
 
 	"malsched/internal/task"
 )
 
 // Compiled is a compile-once, immutable, struct-of-arrays view of an
 // instance, built for the dual-approximation hot path: the dichotomic
-// search probes many deadline guesses λ on the same instance, and almost
-// everything a probe derives — the canonical allotment γ(λ), the orders it
-// is sorted into, the knapsack columns — is a piecewise-constant function
-// of λ that only changes at finitely many breakpoints.
+// search probes many deadline guesses λ on the same instance, and every
+// probe starts from the canonical allotment γ(λ) = min{p : t_i(p) ≤ λ}.
 //
-// Compile flattens every task profile into contiguous time and work
-// columns (no per-task pointer chasing on the probe path) and computes the
-// λ-breakpoint table: for every profile entry t_i(p) the exact float64
-// threshold b with
-//
-//	task.Leq(t_i(p), λ)  ⇔  λ ≥ b   for all λ ≥ 0,
-//
-// so a canonical lookup γ_i(λ) = min{p : t_i(p) ≤ λ} becomes a binary
-// search over plain float compares that returns bit-identically what
-// task.Canonical returns — the threshold is exact by construction (found on
-// the float lattice against the very predicate task.Leq evaluates), not an
-// algebraic approximation. The per-task threshold rows double as the
-// breakpoint lists: between two consecutive thresholds the canonical
-// allotment index is constant, and the merged, deduplicated Global array
-// over all tasks partitions the λ-axis into segments on which the whole
-// allotment vector — and therefore the by-decreasing-time order, the total
-// canonical work and the prefix area — is constant. core's Scratch caches
-// those derived tables per segment and reuses them wholesale when
-// consecutive probes land in the same segment (the bisection endgame always
-// does).
+// Compile flattens every task profile into one contiguous time column (no
+// per-task pointer chasing on the probe path) and precomputes the
+// sequential-time order — nothing else. Gamma runs task.Canonical's own
+// task.Leq binary search over the flattened row, so it is bit-identical to
+// task.Canonical by construction. Segment sums, over all tasks, the number
+// of profile entries at or above γ_i(λ): each task's count is a function
+// of λ that never decreases and determines γ_i, so two deadlines with the
+// same sum have the same canonical allotment vector — and therefore the
+// same by-decreasing-time order, total canonical work and prefix area.
+// core's Scratch caches those derived tables keyed by the sum and reuses
+// them wholesale when consecutive probes land in the same segment (the
+// bisection endgame always does).
 //
 // A Compiled is immutable after Compile and safe for concurrent use by any
 // number of searches; the engine caches one per workload fingerprint and
@@ -44,17 +33,8 @@ type Compiled struct {
 	// count. Task i's profile occupies columns off[i]..off[i+1]-1, column
 	// off[i]+p-1 holding processor count p.
 	off []int
-	// times and works are the flattened profile matrices: t_i(p) and
-	// p·t_i(p) in the layout above.
+	// times is the flattened profile matrix: t_i(p) in the layout above.
 	times []float64
-	works []float64
-	// thr is the λ-breakpoint table: thr[off[i]+p-1] is the exact smallest
-	// λ ≥ 0 with task.Leq(t_i(p), λ) (+Inf when no λ satisfies it, e.g. a
-	// NaN time on an instance built around validation).
-	thr []float64
-	// global is the merged, sorted, deduplicated union of all thresholds:
-	// the segment boundaries of the piecewise-constant canonical allotment.
-	global []float64
 	// seqOrder is the task order of non-increasing sequential time t(1)
 	// (stable), precomputed because §3.1's malleable list construction
 	// needs exactly this order at every λ.
@@ -70,55 +50,31 @@ func Compile(in *Instance) *Compiled {
 		return nil
 	}
 	n := len(in.Tasks)
-	c := &Compiled{in: in, off: make([]int, n+1)}
+	c := &Compiled{in: in, off: make([]int, n+1), seqOrder: make([]int, n)}
 	total := 0
 	for i, t := range in.Tasks {
 		c.off[i] = total
 		total += t.MaxProcs()
 	}
 	c.off[n] = total
-	c.times = make([]float64, total)
-	c.works = make([]float64, total)
-	c.thr = make([]float64, total)
+	c.times = make([]float64, 0, total)
 	for i, t := range in.Tasks {
-		base := c.off[i]
-		for p := 1; p <= t.MaxProcs(); p++ {
-			tv := t.Time(p)
-			c.times[base+p-1] = tv
-			c.works[base+p-1] = float64(p) * tv
-			c.thr[base+p-1] = leqThreshold(tv)
-		}
-	}
-
-	c.finishTables()
-	return c
-}
-
-// finishTables derives the merged global breakpoint axis and the sequential
-// order from the already-filled per-task tables — the shared tail of
-// Compile and ResidualCompiled, so both produce the segment axis through
-// the identical code.
-func (c *Compiled) finishTables() {
-	n := len(c.off) - 1
-	total := c.off[n]
-	c.global = make([]float64, total)
-	copy(c.global, c.thr)
-	sort.Float64s(c.global)
-	dedup := c.global[:0]
-	for _, b := range c.global {
-		if len(dedup) == 0 || b != dedup[len(dedup)-1] {
-			dedup = append(dedup, b)
-		}
-	}
-	c.global = dedup
-
-	c.seqOrder = make([]int, n)
-	for i := range c.seqOrder {
+		c.times = t.AppendTimes(c.times)
 		c.seqOrder[i] = i
 	}
-	sort.SliceStable(c.seqOrder, func(a, b int) bool {
-		return c.seqTimeOrZero(c.seqOrder[a]) > c.seqTimeOrZero(c.seqOrder[b])
+	// Stable, by non-increasing t(1): the permutation the legacy path's
+	// sort.SliceStable produces (same less, same algorithm).
+	slices.SortStableFunc(c.seqOrder, func(a, b int) int {
+		ta, tb := c.seqTimeOrZero(a), c.seqTimeOrZero(b)
+		switch {
+		case ta > tb:
+			return -1
+		case tb > ta:
+			return 1
+		}
+		return 0
 	})
+	return c
 }
 
 // seqTimeOrZero is t_i(1), or 0 for a (malformed) empty profile.
@@ -147,105 +103,57 @@ func (c *Compiled) MaxProcs(i int) int { return c.off[i+1] - c.off[i] }
 // Time returns t_i(p) from the flattened matrix; p must be in 1..MaxProcs(i).
 func (c *Compiled) Time(i, p int) float64 { return c.times[c.off[i]+p-1] }
 
-// Work returns the precomputed w_i(p) = p·t_i(p).
-func (c *Compiled) Work(i, p int) float64 { return c.works[c.off[i]+p-1] }
+// Work returns w_i(p) = p·t_i(p), the same single multiplication as
+// task.Work.
+func (c *Compiled) Work(i, p int) float64 { return float64(p) * c.Time(i, p) }
 
 // SeqTime returns t_i(1).
 func (c *Compiled) SeqTime(i int) float64 { return c.times[c.off[i]] }
 
 // Gamma returns the canonical processor count γ_i(λ) = min{p : t_i(p) ≤ λ}
-// and whether it exists, bit-identically to task.Canonical for every
-// λ ≥ 0 — the threshold table makes the two predicates pointwise equal, and
-// both sides resolve them with the same binary search.
+// and whether it exists. It is task.Canonical's algorithm — reject when the
+// last entry misses λ, else sort.Search's bisection over task.Leq — run on
+// the flattened row, so the two agree bit for bit on every input (an empty
+// row reports no allotment instead of panicking).
 func (c *Compiled) Gamma(i int, lambda float64) (int, bool) {
-	lo, hi := c.off[i], c.off[i+1]
-	if lo == hi || !(lambda >= c.thr[hi-1]) {
+	row := c.times[c.off[i]:c.off[i+1]]
+	if len(row) == 0 || !task.Leq(row[len(row)-1], lambda) {
 		return 0, false
 	}
-	row := c.thr[lo:hi]
-	p := sort.Search(len(row), func(j int) bool { return lambda >= row[j] })
-	return p + 1, true
+	lo, hi := 0, len(row)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if task.Leq(row[h], lambda) {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo + 1, true
 }
 
-// Segment locates λ on the breakpoint axis: the number of global
-// breakpoints ≤ λ. Two deadlines with the same segment index have
-// identical canonical allotments γ_i for every task (the predicate λ ≥ b
-// agrees on every breakpoint b), hence identical sort orders, canonical
-// work and prefix area — which is what lets a probe reuse the previous
-// probe's derived tables whenever the segment repeats.
+// Segment locates λ ≥ 0 on the piecewise-constant axis of the canonical
+// allotment: Σ_i k_i(λ), where k_i is MaxProcs(i)−γ_i(λ)+1 when γ_i
+// exists and 0 otherwise (on a monotone row, the number of entries with
+// task.Leq(t_i(p), λ)). Every k_i is non-decreasing in λ — task.Leq is
+// monotone in λ and Gamma's bisection result is monotone in its predicate
+// even on non-monotone rows — and determines γ_i. So two deadlines with
+// equal sums have equal k_i for every task, hence identical canonical
+// allotments, sort orders, canonical work and prefix area; and the sum
+// changes exactly where the allotment vector does. That is what lets a
+// probe reuse the previous probe's derived tables whenever the segment
+// repeats. O(n log m) per call.
 func (c *Compiled) Segment(lambda float64) int {
-	return sort.Search(len(c.global), func(j int) bool { return c.global[j] > lambda })
+	seg := 0
+	for i := 0; i < c.N(); i++ {
+		if g, ok := c.Gamma(i, lambda); ok {
+			seg += c.MaxProcs(i) - g + 1
+		}
+	}
+	return seg
 }
-
-// Breakpoints returns task i's λ-threshold row: entry p-1 is the exact
-// smallest λ with task.Leq(t_i(p), λ), so on [row[p-1], row[p-2]) the
-// canonical allotment is p (rows are non-increasing for monotone profiles).
-// The returned slice aliases the compiled table; callers must not modify it.
-func (c *Compiled) Breakpoints(i int) []float64 { return c.thr[c.off[i]:c.off[i+1]] }
-
-// GlobalBreakpoints returns the merged breakpoint array (sorted, distinct).
-// The returned slice aliases the compiled table; callers must not modify it.
-func (c *Compiled) GlobalBreakpoints() []float64 { return c.global }
 
 // SeqOrder returns the precompiled stable order of non-increasing
 // sequential time. The returned slice aliases the compiled table; callers
 // must not modify it.
 func (c *Compiled) SeqOrder() []int { return c.seqOrder }
-
-// leqThreshold returns the exact smallest λ ≥ 0 with task.Leq(t, λ): the
-// float-evaluated predicate is monotone in λ (every operation in Leq is
-// monotone), so the boundary is a single float64, located on the float
-// lattice against the predicate itself. An algebraic estimate lands within
-// a few ulps and a short walk pins it; pathological inputs fall back to a
-// full bisection over the float bits (monotone for non-negative floats).
-func leqThreshold(t float64) float64 {
-	if math.IsNaN(t) {
-		return math.Inf(1) // Leq(NaN, λ) is false for every λ
-	}
-	if task.Leq(t, 0) {
-		return 0
-	}
-	if math.IsInf(t, 1) {
-		return math.Inf(1) // no finite λ satisfies Leq(+Inf, λ)
-	}
-	// Here t > 0 and finite; Leq(t, t) always holds, so t brackets from
-	// above. Estimate the real-arithmetic boundary of
-	// t ≤ λ + Eps·(t+λ+1) and walk to the float-exact one.
-	est := (t*(1-task.Eps) - task.Eps) / (1 + task.Eps)
-	if !(est > 0) {
-		est = 0
-	}
-	if est > t {
-		est = t
-	}
-	const maxWalk = 128
-	if task.Leq(t, est) {
-		for i := 0; i < maxWalk; i++ {
-			prev := math.Nextafter(est, math.Inf(-1))
-			if prev < 0 || !task.Leq(t, prev) {
-				return est
-			}
-			est = prev
-		}
-	} else {
-		for i := 0; i < maxWalk; i++ {
-			est = math.Nextafter(est, math.Inf(1))
-			if task.Leq(t, est) {
-				return est
-			}
-		}
-	}
-	// Fallback: bisection over the float bit lattice of [0, t]. For
-	// non-negative floats the IEEE-754 bit pattern orders like the value,
-	// so this is a plain monotone binary search with ~62 probes.
-	lb, hb := math.Float64bits(0), math.Float64bits(t)
-	for lb+1 < hb {
-		mid := (lb + hb) / 2
-		if task.Leq(t, math.Float64frombits(mid)) {
-			hb = mid
-		} else {
-			lb = mid
-		}
-	}
-	return math.Float64frombits(hb)
-}

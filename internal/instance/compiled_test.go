@@ -42,111 +42,158 @@ func breakpointDense(seed int64, n, m int) *Instance {
 	return MustNew("breakpoint-dense", m, tasks)
 }
 
-// Every threshold must be float-exact against the predicate it compiles:
-// Leq(t, b) holds and Leq(t, prevfloat(b)) does not (unless b = 0).
-func TestCompiledThresholdsExact(t *testing.T) {
-	for _, in := range compiledTestInstances() {
-		c := Compile(in)
-		for i := range in.Tasks {
-			row := c.Breakpoints(i)
-			for p := 1; p <= c.MaxProcs(i); p++ {
-				tv := c.Time(i, p)
-				b := row[p-1]
-				if !task.Leq(tv, b) {
-					t.Fatalf("%s: task %d p=%d: predicate false at its own threshold %v (t=%v)", in.Name, i, p, b, tv)
-				}
-				if b > 0 {
-					if prev := math.Nextafter(b, math.Inf(-1)); task.Leq(tv, prev) {
-						t.Fatalf("%s: task %d p=%d: threshold %v not minimal (still true at %v)", in.Name, i, p, b, prev)
-					}
-				}
+// edgeRows builds an instance around validation whose rows stress the
+// segment key: a NaN row, an empty row, a +Inf row, a row with one NaN
+// entry, and non-monotone rows dipping below and spiking above their
+// neighbours — on which task.Leq holds on no contiguous suffix.
+func edgeRows() *Instance {
+	return &Instance{Name: "edge-rows", M: 8, Tasks: []task.Task{
+		task.Linear("lin", 6, 8),
+		task.Linear("nan", 6, 8).Scale(math.NaN()),
+		{Name: "empty"},
+		task.Linear("inf", 6, 8).Scale(math.Inf(1)),
+		task.NonMonotone("nan-entry", 5, 3, math.NaN(), 8),
+		task.NonMonotone("dip", 7, 4, 0.2, 8),
+		task.NonMonotone("spike", 4, 2, 3, 8),
+		task.NonMonotone("deep", 9, 8, 0.01, 8),
+	}}
+}
+
+// leqBoundary returns the smallest λ ≥ 0 with task.Leq(t, λ) (+Inf when
+// none does), by bisection over the float bit lattice: the bit patterns of
+// non-negative floats order like their values, and the float-evaluated
+// predicate is monotone in λ ≥ 0.
+func leqBoundary(t float64) float64 {
+	if task.Leq(t, 0) {
+		return 0
+	}
+	hi := math.Inf(1)
+	if !task.Leq(t, hi) {
+		return hi
+	}
+	if t > 0 && !math.IsInf(t, 1) {
+		hi = t // Leq(t, t) always holds
+	}
+	lb, hb := math.Float64bits(0), math.Float64bits(hi)
+	for lb+1 < hb {
+		mid := (lb + hb) / 2
+		if task.Leq(t, math.Float64frombits(mid)) {
+			hb = mid
+		} else {
+			lb = mid
+		}
+	}
+	return math.Float64frombits(hb)
+}
+
+// lambdaSamples returns sorted, distinct deadlines ≥ 0 covering every
+// place a canonical lookup can change: each profile time, the exact
+// boundary where task.Leq on it flips, their float neighbours, plus random
+// fill.
+func lambdaSamples(c *Compiled, rng *rand.Rand) []float64 {
+	set := map[float64]bool{0: true, math.Inf(1): true}
+	add := func(l float64) {
+		if l >= 0 {
+			set[l] = true
+		}
+	}
+	for _, tv := range c.times {
+		for _, x := range []float64{tv, leqBoundary(tv)} {
+			add(x)
+			add(math.Nextafter(x, math.Inf(1)))
+			add(math.Nextafter(x, math.Inf(-1)))
+		}
+	}
+	for k := 0; k < 100; k++ {
+		add(50 * rng.Float64())
+	}
+	ls := make([]float64, 0, len(set))
+	for l := range set {
+		ls = append(ls, l)
+	}
+	sort.Float64s(ls)
+	return ls
+}
+
+// gammaVec is the canonical allotment vector at λ, -1 marking a task with
+// no allotment.
+func gammaVec(c *Compiled, l float64) []int {
+	v := make([]int, c.N())
+	for i := range v {
+		g, ok := c.Gamma(i, l)
+		if !ok {
+			g = -1
+		}
+		v[i] = g
+	}
+	return v
+}
+
+// checkGamma fails t unless Gamma agrees with task.Canonical for every
+// task at λ; an empty row (where Canonical would panic) must report no
+// allotment.
+func checkGamma(t testing.TB, in *Instance, c *Compiled, l float64) {
+	t.Helper()
+	for i, tk := range in.Tasks {
+		gotG, gotOK := c.Gamma(i, l)
+		if tk.MaxProcs() == 0 {
+			if gotOK {
+				t.Fatalf("%s: empty task %d reported γ=%d", in.Name, i, gotG)
 			}
+			continue
+		}
+		if wantG, wantOK := tk.Canonical(l); wantG != gotG || wantOK != gotOK {
+			t.Fatalf("%s: task %d λ=%v: Gamma=(%d,%v), Canonical=(%d,%v)",
+				in.Name, i, l, gotG, gotOK, wantG, wantOK)
 		}
 	}
 }
 
 // Gamma must agree with task.Canonical everywhere — random deadlines plus
-// the adversarial ones: each breakpoint and its float neighbours, where an
-// inexact threshold would first diverge.
+// the adversarial ones: every profile time, the exact float where task.Leq
+// on it flips, and their neighbours.
 func TestCompiledGammaMatchesCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, in := range compiledTestInstances() {
+	for _, in := range append(compiledTestInstances(), edgeRows()) {
 		c := Compile(in)
-		var lambdas []float64
-		for _, b := range c.GlobalBreakpoints() {
-			lambdas = append(lambdas, b, math.Nextafter(b, math.Inf(1)))
-			if b > 0 {
-				lambdas = append(lambdas, math.Nextafter(b, math.Inf(-1)))
-			}
-		}
-		for k := 0; k < 100; k++ {
-			lambdas = append(lambdas, 50*rng.Float64())
-		}
-		for _, l := range lambdas {
-			for i, tk := range in.Tasks {
-				wantG, wantOK := tk.Canonical(l)
-				gotG, gotOK := c.Gamma(i, l)
-				if wantG != gotG || wantOK != gotOK {
-					t.Fatalf("%s: task %d λ=%v: Gamma=(%d,%v), Canonical=(%d,%v)",
-						in.Name, i, l, gotG, gotOK, wantG, wantOK)
-				}
-			}
+		for _, l := range lambdaSamples(c, rng) {
+			checkGamma(t, in, c, l)
 		}
 	}
 }
 
-// The canonical allotment vector must be constant between consecutive
-// global breakpoints and change at each one: sampling a segment at its left
-// edge, just inside, in the middle and just before the right edge yields
-// one vector, and crossing into the next segment changes it.
+// Segment must be non-decreasing in λ and change exactly where the
+// canonical allotment vector does: along the sorted sample axis, two
+// consecutive deadlines share a segment iff they share γ. On validated
+// instances it must also equal the plain count of profile entries meeting
+// the deadline.
 func TestCompiledPiecewiseConstantAllotment(t *testing.T) {
-	gammaVec := func(c *Compiled, l float64) []int {
-		v := make([]int, c.N())
-		for i := range v {
-			g, ok := c.Gamma(i, l)
-			if !ok {
-				g = -1
-			}
-			v[i] = g
-		}
-		return v
-	}
-	for _, in := range compiledTestInstances() {
+	rng := rand.New(rand.NewSource(13))
+	for _, in := range append(compiledTestInstances(), edgeRows()) {
 		c := Compile(in)
-		bks := c.GlobalBreakpoints()
-		limit := len(bks)
-		if limit > 200 {
-			limit = 200 // the dense instance has thousands of segments
-		}
-		for k := 0; k < limit; k++ {
-			lo := bks[k]
-			hi := math.Inf(1)
-			if k+1 < len(bks) {
-				hi = bks[k+1]
+		validated := Check(in) == nil
+		prevL, prevSeg, prevVec := -1.0, -1, []int(nil)
+		for _, l := range lambdaSamples(c, rng) {
+			seg, vec := c.Segment(l), gammaVec(c, l)
+			if seg < prevSeg {
+				t.Fatalf("%s: Segment decreased from %d at λ=%v to %d at λ=%v", in.Name, prevSeg, prevL, seg, l)
 			}
-			ref := gammaVec(c, lo)
-			samples := []float64{math.Nextafter(lo, math.Inf(1))}
-			if !math.IsInf(hi, 1) {
-				samples = append(samples, lo+(hi-lo)/2, math.Nextafter(hi, math.Inf(-1)))
+			if same := reflect.DeepEqual(vec, prevVec); prevVec != nil && same != (seg == prevSeg) {
+				t.Fatalf("%s: λ=%v→%v: segments %d→%d but allotment equal=%v (%v→%v)",
+					in.Name, prevL, l, prevSeg, seg, same, prevVec, vec)
 			}
-			for _, l := range samples {
-				if l < lo || l >= hi {
-					continue // degenerate one-ulp segment
+			if validated {
+				count := 0
+				for _, tv := range c.times {
+					if task.Leq(tv, l) {
+						count++
+					}
 				}
-				if got := gammaVec(c, l); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("%s: allotment not constant on segment [%v,%v): %v at λ=%v vs %v",
-						in.Name, lo, hi, got, l, ref)
-				}
-				if c.Segment(l) != c.Segment(lo) {
-					t.Fatalf("%s: λ=%v and %v disagree on segment index within [%v,%v)", in.Name, l, lo, lo, hi)
+				if seg != count {
+					t.Fatalf("%s: λ=%v: Segment %d != entries meeting λ %d", in.Name, l, seg, count)
 				}
 			}
-			if lo > 0 {
-				below := gammaVec(c, math.Nextafter(lo, math.Inf(-1)))
-				if reflect.DeepEqual(below, ref) {
-					t.Fatalf("%s: allotment did not change at breakpoint %v", in.Name, lo)
-				}
-			}
+			prevL, prevSeg, prevVec = l, seg, vec
 		}
 	}
 }

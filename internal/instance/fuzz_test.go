@@ -3,7 +3,10 @@ package instance
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
+
+	"malsched/internal/task"
 )
 
 // FuzzParseInstance fuzzes the one JSON instance codec shared by msgen,
@@ -66,6 +69,47 @@ func FuzzParseInstance(f *testing.F) {
 					t.Fatalf("task %d time %d drifted: %v -> %v", i, p, a[p], b[p])
 				}
 			}
+		}
+	})
+}
+
+// FuzzCompiledSegment fuzzes the λ-segment key the core and precedence
+// caches trust: over random profiles built around validation — scaled
+// linear rows, non-monotone dips and spikes, NaN/Inf/negative entries, an
+// empty row — and random deadline pairs λ1 ≤ λ2, Gamma must equal
+// task.Canonical at both, Segment must not decrease from λ1 to λ2, and
+// equal segments must mean equal canonical allotment vectors.
+func FuzzCompiledSegment(f *testing.F) {
+	f.Add(6.0, uint8(8), uint8(3), 0.2, 1.5, 0.75, 1.0)
+	f.Add(1.0, uint8(1), uint8(1), 1.0, 1.0, 0.0, 1.0)
+	f.Add(9.0, uint8(16), uint8(5), 4.0, 0.1, 1.2, 1.2000000001)
+	f.Add(3.0, uint8(7), uint8(2), math.NaN(), 2.0, 0.5, 3.0)
+	f.Add(2.0, uint8(4), uint8(4), -1.0, math.Inf(1), 0.0, math.Inf(1))
+	f.Fuzz(func(t *testing.T, work float64, m, dip uint8, factor, scale, l1, l2 float64) {
+		if math.IsNaN(l1) || math.IsNaN(l2) || l1 < 0 || l2 < 0 {
+			return // the segment axis is defined on λ ≥ 0
+		}
+		if l1 > l2 {
+			l1, l2 = l2, l1
+		}
+		mp := int(m%32) + 1
+		in := &Instance{Name: "fuzz", M: mp, Tasks: []task.Task{
+			task.Linear("lin", work, mp),
+			task.NonMonotone("nm", work, int(dip), factor, mp),
+			task.NonMonotone("scaled", work, int(dip)/2+1, factor, mp).Scale(scale),
+			task.PowerLaw("pow", work*scale, 0.7, mp),
+			{Name: "empty"},
+		}}
+		c := Compile(in)
+		checkGamma(t, in, c, l1)
+		checkGamma(t, in, c, l2)
+		s1, s2 := c.Segment(l1), c.Segment(l2)
+		v1, v2 := gammaVec(c, l1), gammaVec(c, l2)
+		if s1 > s2 {
+			t.Fatalf("Segment decreased: %d at λ=%v, %d at λ=%v", s1, l1, s2, l2)
+		}
+		if s1 == s2 && !reflect.DeepEqual(v1, v2) {
+			t.Fatalf("segment %d shared by λ=%v and λ=%v with allotments %v and %v", s1, l1, l2, v1, v2)
 		}
 	})
 }

@@ -73,51 +73,14 @@ func Residual(c *Compiled, name string, m int, ids []int, remaining []float64) (
 	return New(name, m, tasks)
 }
 
-// ResidualCompiled builds the residual instance and its compiled
-// λ-breakpoint tables in one pass, mapping parent rows onto residual rows
-// wherever the profile is unchanged: a task with remaining fraction 1 has
-// bitwise-equal times (1.0·t is exact), works and λ-thresholds, so its rows
-// are copied from the parent tables instead of re-deriving each threshold
-// with leqThreshold's lattice walk — the dominant cost of compilation. Only
-// re-scaled tasks (and truncated profile tails on a smaller machine) are
-// recomputed. The merged segment axis and sequential order are then derived
-// by the same code Compile uses, so the result is field-for-field identical
-// to Compile(Residual(...)) — the residual_test equivalence suite asserts
-// it bit by bit. This is the compilation half of the warm replanning path:
-// per replan the cost is proportional to the churn, not the queue.
+// ResidualCompiled builds the residual instance and its compiled view:
+// Compile(Residual(...)). Compilation is one copy of the time matrix, so
+// re-deriving the residual's tables costs no more than mapping the
+// parent's rows onto it would.
 func ResidualCompiled(c *Compiled, name string, m int, ids []int, remaining []float64) (*Instance, *Compiled, error) {
 	in, err := Residual(c, name, m, ids, remaining)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := len(in.Tasks)
-	rc := &Compiled{in: in, off: make([]int, n+1)}
-	total := 0
-	for k, t := range in.Tasks {
-		rc.off[k] = total
-		total += t.MaxProcs()
-	}
-	rc.off[n] = total
-	rc.times = make([]float64, total)
-	rc.works = make([]float64, total)
-	rc.thr = make([]float64, total)
-	for k, id := range ids {
-		base := rc.off[k]
-		mp := in.Tasks[k].MaxProcs()
-		if remaining[k] == 1 {
-			pbase := c.off[id]
-			copy(rc.times[base:base+mp], c.times[pbase:pbase+mp])
-			copy(rc.works[base:base+mp], c.works[pbase:pbase+mp])
-			copy(rc.thr[base:base+mp], c.thr[pbase:pbase+mp])
-			continue
-		}
-		for p := 1; p <= mp; p++ {
-			tv := in.Tasks[k].Time(p)
-			rc.times[base+p-1] = tv
-			rc.works[base+p-1] = float64(p) * tv
-			rc.thr[base+p-1] = leqThreshold(tv)
-		}
-	}
-	rc.finishTables()
-	return in, rc, nil
+	return in, Compile(in), nil
 }

@@ -1,15 +1,14 @@
 // The compiled DAG solve path. The crossover allotment search and the
 // candidate portfolio of Schedule re-evaluate (γ(λ), times, area, CP) at
-// many deadlines; this file resolves those evaluations by threshold binary
-// search over the instance's compiled λ-breakpoint tables
-// (instance.Compiled, the PR-4 machinery) and caches the derived tables
+// many deadlines; this file resolves those evaluations from the instance's
+// compiled time matrix (instance.Compiled) and caches the derived tables
 // per λ-segment, so repeat probes — the bisection endgame, the portfolio,
 // and every solve of a replanning lineage that shares a Scratch — pay
 // zero re-derivation. The legacy task-struct path is kept as the
 // benchmark reference; both paths are bit-identical by the same argument
-// as the independent-task pipeline (the compiled tables are flattened
-// copies and the λ-thresholds are float-exact against task.Leq), which
-// the equivalence and golden suites enforce.
+// as the independent-task pipeline (the compiled times are a flattened
+// copy and Gamma runs task.Canonical's own search on them), which the
+// equivalence and golden suites enforce.
 package precedence
 
 import (
@@ -41,7 +40,7 @@ func (h *fnv64) uint64(v uint64) {
 // with privately compiled tables and a private scratch — bit-identical to
 // Legacy, just differently paid for.
 type Options struct {
-	// Compiled supplies the instance's precompiled λ-breakpoint tables
+	// Compiled supplies the instance's precompiled tables
 	// (instance.Compile) and must describe exactly the graph's instance
 	// (same machine size and time tables; names may differ). nil compiles
 	// once per solve unless Legacy is set. The tables are immutable, so
@@ -102,8 +101,8 @@ type Result struct {
 const dagSegCap = 512
 
 // segKey identifies one cached candidate evaluation: the compiled tables
-// it derives from, the DAG shape over them, and the λ-segment of the
-// compiled global breakpoint axis. The edge hash keeps two graphs over
+// it derives from, the DAG shape over them, and the λ-segment
+// (instance.Compiled.Segment). The edge hash keeps two graphs over
 // the same instance — which share one *instance.Compiled in the engine's
 // workload-keyed compiled cache — from aliasing each other's critical
 // paths; the residual 64-bit collision risk is accepted as it is for the
@@ -117,8 +116,8 @@ type segKey struct {
 // segEval is one segment's cached candidate tables: the canonical
 // allotment γ(λ), its execution times, the normalised area Σw(γ)/m and
 // the critical path CP(γ). Every deadline inside one segment derives the
-// exact same tables — the compiled thresholds are float-exact against
-// task.Leq — so any λ landing in a cached segment reuses them wholesale.
+// exact same tables — equal segments mean equal canonical allotments — so
+// any λ landing in a cached segment reuses them wholesale.
 type segEval struct {
 	ok    bool
 	alloc []int
@@ -215,10 +214,11 @@ func floatsBuf(buf *[]float64, n int) []float64 {
 // evalCtx runs candidate evaluations for one solve: through the compiled
 // tables and the λ-segment cache on the hot path, through fresh
 // task-struct derivations on the legacy path. Both produce bit-identical
-// floats — the compiled times and works are flattened copies, Gamma's
-// thresholds are float-exact against task.Leq, the area accumulates in
-// task order on both paths, and the critical path walks the same
-// topological order — so every search decision downstream is identical.
+// floats — the compiled times are a flattened copy, Work is the same
+// p·t(p) product, Gamma runs task.Canonical's own search, the area
+// accumulates in task order on both paths, and the critical path walks the
+// same topological order — so every search decision downstream is
+// identical.
 type evalCtx struct {
 	g      *Graph
 	c      *instance.Compiled // nil on the legacy path

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,9 +335,11 @@ type blockingHandler struct {
 	mu      sync.Mutex
 	blocked bool
 	release chan struct{}
+	entered atomic.Int32 // requests that reached ServeHTTP
 }
 
 func (b *blockingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	b.entered.Add(1)
 	b.mu.Lock()
 	blocked := b.blocked
 	release := b.release
@@ -544,6 +547,13 @@ func TestLineagePinnedUnderStealPressure(t *testing.T) {
 func TestRouterQueueFullSheds(t *testing.T) {
 	s0 := server.New(server.Config{Shards: 1})
 	slow := &blockingHandler{inner: s0.Handler(), blocked: true, release: make(chan struct{})}
+	var wg sync.WaitGroup
+	// Release the blocked handler however the test ends, so a failure
+	// below fails fast instead of leaving the background posts hanging.
+	t.Cleanup(func() {
+		close(slow.release)
+		wg.Wait()
+	})
 	rt, err := New(Config{
 		Backends:     []Backend{{Name: "only", Handler: slow}},
 		Workers:      1,
@@ -555,16 +565,31 @@ func TestRouterQueueFullSheds(t *testing.T) {
 	}
 	defer rt.Close()
 
+	// waitFor polls an observable condition, failing fast instead of
+	// hanging when it never holds.
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: handler entered %d times, %d queued", what,
+					slow.entered.Load(), len(rt.backends[0].local))
+			}
+		}
+	}
 	in := instance.Mixed(1, 6, 4)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ { // one occupies the worker, one fills the queue
+	post := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			postBinary(t, rt.Handler(), in, nil)
 		}()
 	}
-	time.Sleep(100 * time.Millisecond)
+	// One request occupies the worker, then one fills the queue — posted
+	// in turn, since two at once could both race for the single slot.
+	post()
+	waitFor("worker never picked up the first request", func() bool { return slow.entered.Load() == 1 })
+	post()
+	waitFor("second request never queued", func() bool { return len(rt.backends[0].local) == 1 })
 
 	rec := postBinary(t, rt.Handler(), in, nil)
 	if rec.Code != http.StatusTooManyRequests {
@@ -580,8 +605,6 @@ func TestRouterQueueFullSheds(t *testing.T) {
 	if rt.Stats().Rejected == 0 {
 		t.Fatal("rejected counter never moved")
 	}
-	close(slow.release)
-	wg.Wait()
 }
 
 // TestRouterStealRace hammers a small tier with mixed pinned/stealable

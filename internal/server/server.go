@@ -371,7 +371,7 @@ func lineageHash(lineage string) uint64 {
 // once at admission through the shard's compiled-instance cache
 // (instances arriving here passed the JSON codec's full validation), so
 // /v1/batch items of a repeated shape — and memo-miss re-solves under
-// different options — share one set of λ-breakpoint tables per shard.
+// different options — share one set of compiled tables per shard.
 // The shard's solve slots bound concurrency to Config.Workers across all
 // requests, compilation included.
 func (s *Server) solveVerified(in *instance.Instance, o engine.Options, timeout time.Duration, lineage string, rc *reqCtx) (*ScheduleResponse, *ErrorInfo, int) {

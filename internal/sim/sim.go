@@ -252,7 +252,7 @@ type state struct {
 	opts engine.Options
 
 	// full is the offline relaxation of the trace (all jobs, arrivals
-	// dropped) and compiled its λ-breakpoint view, built once per run
+	// dropped) and compiled its instance.Compiled view, built once per run
 	// (from the engine's compiled cache, so shared engines reuse the
 	// tables across runs); policies carve residual instances out of it
 	// and the metrics derive the certified bound from it.
@@ -564,10 +564,9 @@ func (s *state) residual(name string, mf int, jobs []int) (*instance.Instance, e
 	return instance.Residual(s.compiled, name, mf, jobs, rem)
 }
 
-// residualCompiled is residual plus the derived λ-breakpoint tables: rows
-// of jobs with all work remaining are reused bitwise from the trace's
-// compiled view instead of recompiled (instance.ResidualCompiled), which
-// is what makes per-replan planning cheap enough to warm-start.
+// residualCompiled is residual plus its compiled view
+// (instance.ResidualCompiled): compiling is one copy of the residual's
+// time matrix, cheap enough to pay on every replan.
 func (s *state) residualCompiled(name string, mf int, jobs []int) (*instance.Instance, *instance.Compiled, error) {
 	rem := make([]float64, len(jobs))
 	for k, j := range jobs {

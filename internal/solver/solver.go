@@ -41,7 +41,7 @@ type Options struct {
 	// dual search ignore it.
 	Legacy bool
 
-	// Compiled carries the instance's precompiled λ-breakpoint tables
+	// Compiled carries the instance's precompiled tables
 	// (instance.Compile) when the caller — the engine's compiled cache,
 	// the scheduling service — already holds them; nil lets the solver
 	// compile per search. The tables are immutable, so concurrent

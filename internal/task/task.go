@@ -167,6 +167,11 @@ func (t Task) Times() []float64 {
 	return cp
 }
 
+// AppendTimes appends the execution-time table (t(1), …, t(MaxProcs)) to
+// dst and returns the extended slice — Times without the allocation, for
+// callers flattening many profiles into one buffer.
+func (t Task) AppendTimes(dst []float64) []float64 { return append(dst, t.times...) }
+
 // Scale returns a copy of the task with every execution time multiplied by
 // f > 0. Scaling preserves monotony.
 func (t Task) Scale(f float64) Task {

@@ -221,8 +221,8 @@ type TraceInfo struct {
 
 // TraceProbe is one consumed probe of the dual search.
 type TraceProbe struct {
-	// Lambda is the deadline guess, Segment its λ-breakpoint segment index
-	// in the compiled tables (−1 on the legacy path).
+	// Lambda is the deadline guess, Segment its λ-segment index in the
+	// compiled tables (−1 on the legacy path).
 	Lambda  float64 `json:"lambda"`
 	Segment int     `json:"segment"`
 	// Accepted reports whether the dual step produced a schedule; Reason

@@ -133,7 +133,7 @@ type Options struct {
 	Parallelism int
 	// Legacy disables the compiled-instance hot path: deadline probes
 	// resolve canonical allotments from the task structs instead of the
-	// precompiled λ-breakpoint tables, and the engine skips its compiled
+	// precompiled tables, and the engine skips its compiled
 	// cache. Every output is bit-identical either way; the option exists
 	// as the benchmark reference for the compiled layer (cmd/msbench's
 	// compiled dimension) and is ignored by solvers without a dual search.
@@ -142,7 +142,7 @@ type Options struct {
 	// callers; Solver wins when both are set.
 	Baseline string
 	// Trace captures the dual search's consumed probe trajectory into
-	// Result.Trace — λ, breakpoint segment, accept/reject with reason,
+	// Result.Trace — λ, λ-segment, accept/reject with reason,
 	// certification and warm-synthesis flags, in the exact consumption
 	// order. Pure observation: every output is bit-identical traced or
 	// not. Only solvers with a dual search record probes ("mrt"); others
