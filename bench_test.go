@@ -528,6 +528,29 @@ func BenchmarkDAGCrossoverCompiled(b *testing.B) { benchmarkDAGSolve(b, true, fa
 
 func BenchmarkDAGCrossoverLegacy(b *testing.B) { benchmarkDAGSolve(b, true, true) }
 
+// BenchmarkDAGSolveLarge is one cold dag solve at the size where the
+// hill-climb cost matters most: n=400, m=64, a Mixed instance under an
+// arity-2 out-tree, every solve compiling its own tables on a fresh
+// scratch like the facade does for unique traffic.
+func BenchmarkDAGSolveLarge(b *testing.B) {
+	in := instance.Mixed(7, 400, 64)
+	edges, err := precedence.OutTreeEdges(in.N(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := precedence.NewGraph(in, edges)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := g.Solve(precedence.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDAGPipeline covers the §5 future-work extension: scheduling a
 // precedence-constrained fork-join pipeline (internal/precedence).
 func BenchmarkDAGPipeline(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"malsched/internal/instance"
 	"malsched/internal/precedence"
@@ -196,5 +197,44 @@ func TestEngineRejectsHostileEdgesTyped(t *testing.T) {
 	}
 	if st := e.Stats(); st.Panics != 0 {
 		t.Fatalf("hostile edges caused %d recovered panics", st.Panics)
+	}
+}
+
+// TestDAGSolveHonoursTimeout: a DAG solve that outlives its budget must
+// report ErrTimeout, not success, and stop within a bounded overrun. The
+// instance is Mixed(7, 300, 64) with an arity-2 out-tree, whose untimed
+// dag solve takes a few hundred milliseconds. The solve polls the
+// interrupt before every list schedule, so it stops within one list
+// schedule of the timer firing; graph construction and compilation run
+// before the first poll. Measured on a 2-vCPU host (GOMAXPROCS 2), 30
+// runs: 5.3–6.3 ms to ErrTimeout, k ≤ 1.3× budget; under -race, 10 runs:
+// 18–22 ms, k ≤ 4.4×. The bound is k = 20, room for a loaded CI runner
+// whose timer fires late.
+func TestDAGSolveHonoursTimeout(t *testing.T) {
+	in := instance.Mixed(7, 300, 64)
+	edges, err := precedence.OutTreeEdges(in.N(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 5 * time.Millisecond
+	e := New(Config{Workers: 1, MemoCapacity: -1})
+	for _, name := range []string{solver.DAGSolverName, solver.DAGCrossoverSolverName} {
+		start := time.Now()
+		out := e.ScheduleWith(in, Options{Solver: name, Edges: edges}, budget)
+		took := time.Since(start)
+		t.Logf("%s: %v after %v", name, out.Err, took)
+		if name == solver.DAGCrossoverSolverName {
+			// The crossover solve is one search and one list schedule:
+			// it may finish inside the budget, but never overrun it by
+			// more than the bound.
+			if out.Err != nil && !errors.Is(out.Err, ErrTimeout) {
+				t.Fatalf("%s: %v", name, out.Err)
+			}
+		} else if !errors.Is(out.Err, ErrTimeout) {
+			t.Fatalf("%s: got %v after %v, want ErrTimeout", name, out.Err, took)
+		}
+		if took > 20*budget {
+			t.Fatalf("%s: returned after %v, over 20× the %v budget", name, took, budget)
+		}
 	}
 }

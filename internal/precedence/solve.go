@@ -13,6 +13,7 @@ package precedence
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 
@@ -66,6 +67,13 @@ type Options struct {
 	// success the seed is updated in place for the lineage's next solve.
 	// Ignored on the legacy path.
 	Warm *core.WarmStart
+	// Interrupt, when non-nil, aborts the solve with an error wrapping
+	// core.ErrInterrupted once it fires. It is polled between units of
+	// work — each portfolio candidate, each hill-climb move, each phase
+	// of SolveCrossover — so a solve overruns it by at most one list
+	// schedule or one crossover search, plus compiling the tables when
+	// Compiled is nil (before the first poll).
+	Interrupt <-chan struct{}
 	// Legacy disables the compiled tables and the λ-segment cache: every
 	// candidate evaluation re-derives the allotment from the task structs
 	// like the pre-compiled implementation. Results are bit-identical
@@ -220,11 +228,12 @@ func floatsBuf(buf *[]float64, n int) []float64 {
 // same topological order — so every search decision downstream is
 // identical.
 type evalCtx struct {
-	g      *Graph
-	c      *instance.Compiled // nil on the legacy path
-	sc     *Scratch
-	probes int
-	hits   int
+	g         *Graph
+	c         *instance.Compiled // nil on the legacy path
+	sc        *Scratch
+	interrupt <-chan struct{}
+	probes    int
+	hits      int
 }
 
 func (g *Graph) evalContext(o Options) *evalCtx {
@@ -234,7 +243,19 @@ func (g *Graph) evalContext(o Options) *evalCtx {
 	} else if c == nil {
 		c = instance.Compile(g.in)
 	}
-	return &evalCtx{g: g, c: c, sc: auxScratch(o.Scratch)}
+	return &evalCtx{g: g, c: c, sc: auxScratch(o.Scratch), interrupt: o.Interrupt}
+}
+
+// interrupted polls Options.Interrupt without blocking (a nil channel
+// never fires) and reports a fired one as core.ErrInterrupted, the error
+// the engine maps to its timeout.
+func (e *evalCtx) interrupted() error {
+	select {
+	case <-e.interrupt:
+		return fmt.Errorf("%w (DAG solve, instance %q)", core.ErrInterrupted, e.g.in.Name)
+	default:
+		return nil
+	}
 }
 
 // eval derives (γ(λ), times, Σw/m, CP) for a candidate deadline; ok is
@@ -390,12 +411,18 @@ func (g *Graph) SelectAllotment() ([]int, float64) {
 // heuristic against.
 func (g *Graph) SolveCrossover(o Options) (Result, error) {
 	e := g.evalContext(o)
+	if err := e.interrupted(); err != nil {
+		return Result{}, err
+	}
 	alloc, _ := e.selectAllotment(o.Warm)
 	r := Result{Probes: e.probes, CacheHits: e.hits}
 	if alloc == nil {
 		return r, errors.New("precedence: no feasible canonical allotment")
 	}
-	s, err := e.listSchedule(alloc)
+	if err := e.interrupted(); err != nil {
+		return r, err
+	}
+	s, _, err := e.listSchedule(alloc, math.Inf(1))
 	if err != nil {
 		return r, err
 	}
@@ -428,15 +455,15 @@ func (g *Graph) Solve(o Options) (Result, error) {
 	n := in.N()
 	var best *schedule.Schedule
 	bestMk := math.Inf(1)
+	var stopped error
 	try := func(alloc []int) {
-		if alloc == nil {
+		if alloc == nil || stopped != nil {
 			return
 		}
-		s, err := e.listSchedule(alloc)
-		if err != nil {
+		if stopped = e.interrupted(); stopped != nil {
 			return
 		}
-		if mk := s.Makespan(in); mk < bestMk {
+		if s, mk, err := e.listSchedule(alloc, bestMk); err == nil && mk < bestMk {
 			best, bestMk = cloneSchedule(s), mk
 		}
 	}
@@ -465,6 +492,9 @@ func (g *Graph) Solve(o Options) (Result, error) {
 	// express (all siblings must narrow simultaneously for overlap to
 	// pay, so coordinate-wise refinement alone cannot reach it).
 	try(g.levelProportional())
+	if stopped != nil {
+		return Result{Probes: e.probes, CacheHits: e.hits}, stopped
+	}
 	if best == nil {
 		return Result{Probes: e.probes, CacheHits: e.hits},
 			errors.New("precedence: no feasible allotment")
@@ -484,14 +514,22 @@ func (g *Graph) Solve(o Options) (Result, error) {
 	for round := 0; round < 3; round++ {
 		improved := false
 		for i := 0; i < n; i++ {
-			cur := alloc[i]
-			for _, w := range []int{1, cur / 2, cur * 2, in.Tasks[i].MaxProcs()} {
-				if w < 1 || w > in.Tasks[i].MaxProcs() || w == cur {
+			cur, maxP := alloc[i], in.Tasks[i].MaxProcs()
+			widths := [...]int{1, cur / 2, cur * 2, maxP}
+			for k, w := range widths {
+				// Repeats are adjacent (1 = cur/2 when cur < 4, and
+				// cur*2 = maxP): the first trial either was rejected,
+				// and a rerun on the same state would be too, or was
+				// accepted and made w the current width.
+				if w < 1 || w > maxP || w == cur || (k > 0 && w == widths[k-1]) {
 					continue
 				}
+				if err := e.interrupted(); err != nil {
+					return Result{Probes: e.probes, CacheHits: e.hits}, err
+				}
 				alloc[i] = w
-				if s, err := e.listSchedule(alloc); err == nil && s.Makespan(in) < bestMk-1e-12 {
-					best, bestMk = cloneSchedule(s), s.Makespan(in)
+				if s, mk, err := e.listSchedule(alloc, bestMk-1e-12); err == nil && mk < bestMk-1e-12 {
+					best, bestMk = cloneSchedule(s), mk
 					cur = w
 					improved = true
 				}
@@ -618,13 +656,38 @@ func cloneSchedule(s *schedule.Schedule) *schedule.Schedule {
 	return out
 }
 
+// errCut is listSchedule's verdict that the simulation cannot finish
+// below its cutoff; the caller would reject the schedule anyway.
+var errCut = errors.New("precedence: makespan cannot beat the cutoff")
+
 // listSchedule greedily list-schedules the rigid DAG induced by the
 // allotment, longest tail first: a task is ready when all predecessors
 // are done; among ready tasks, longest tail first; start when enough
 // processors are free. All state lives on the Scratch, including the
 // returned schedule — it is valid only until the next listSchedule call
 // on the same scratch, and callers keeping it must cloneSchedule it.
-func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
+//
+// The returned makespan is the largest completion now+times[i]: the same
+// float sums schedule.Makespan forms from the placements, so it is
+// bit-equal and callers need not recompute it. cut is the makespan the
+// caller must beat: the simulation returns errCut as soon as its makespan
+// provably cannot end below cut, and otherwise runs exactly as it would
+// uncut. +Inf disables the cut, so a run whose sums overflow still
+// finishes. Two rules prove the makespan is at least cut:
+//
+//   - exact: a started task completes at now+times[i] ≥ cut, a value the
+//     makespan includes bit for bit;
+//   - tail: the ready task with the longest tail has now+tail > cut·slack.
+//     Its chain still has to run from now on, and the simulation adds the
+//     chain's times left to right from now where the tail added them
+//     right to left. Each order rounds k ≤ n non-negative additions, so
+//     each is within γ_k = k·u/(1−k·u) of the exact sum (u = 2⁻⁵³), and
+//     the product cut·slack rounds once more. Hence the chain's simulated
+//     completion is ≥ cut whenever now+tail > cut·slack with
+//     slack ≥ (1+γ_k)/((1−γ_k)(1−u)) ≈ 1+(2n+1)·u; 1+4(n+2)·u exceeds
+//     that and is exact in float64. Below the smallest normal float the
+//     product's rounding is not relative, so the rule stays off there.
+func (e *evalCtx) listSchedule(alloc []int, cut float64) (*schedule.Schedule, float64, error) {
 	g, sc, in := e.g, e.sc, e.g.in
 	n := in.N()
 	times := floatsBuf(&sc.times, n)
@@ -633,6 +696,11 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 	}
 	tail := floatsBuf(&sc.evtail, n)
 	g.criticalPathInto(times, tail)
+	cutting := cut < math.Inf(1)
+	tailCut := math.Inf(1)
+	if cutting && cut >= 0x1p-1022 {
+		tailCut = cut * (1 + float64(n+2)*0x1p-51)
+	}
 
 	preds := intsBuf(&sc.preds, n)
 	copy(preds, g.preds)
@@ -660,7 +728,7 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 	running := sc.running[:0]
 
 	remaining := n
-	now := 0.0
+	now, mk := 0.0, 0.0
 	s := &sc.plan
 	s.Algorithm = "dag-list"
 	if cap(s.Placements) < n {
@@ -671,6 +739,9 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 		// Start ready tasks in tail order while processors suffice.
 		sc.readySort.ids, sc.readySort.tail = ready, tail
 		sort.Sort(&sc.readySort)
+		if len(ready) > 0 && now+tail[ready[0]] > tailCut {
+			return nil, 0, errCut
+		}
 		kept := ready[:0]
 		for _, i := range ready {
 			w := alloc[i]
@@ -678,6 +749,11 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 				kept = append(kept, i)
 				continue
 			}
+			end := now + times[i]
+			if cutting && end >= cut {
+				return nil, 0, errCut
+			}
+			mk = max(mk, end)
 			off := len(procsBacking)
 			procsBacking = append(procsBacking, free[:w]...)
 			procs := procsBacking[off:len(procsBacking):len(procsBacking)]
@@ -685,7 +761,7 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 			s.Placements = append(s.Placements, schedule.Placement{
 				Task: i, Start: now, Width: w, First: -1, ProcSet: procs,
 			})
-			running = append(running, runEv{t: now + times[i], task: i, procs: procs})
+			running = append(running, runEv{t: end, task: i, procs: procs})
 		}
 		ready = kept
 		if remaining == 0 {
@@ -694,7 +770,7 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 		if len(running) == 0 {
 			// Reachable only when some width exceeds the machine (a task
 			// whose MaxProcs tops m): nothing runs, nothing fits.
-			return nil, errors.New("precedence: deadlock")
+			return nil, 0, errors.New("precedence: deadlock")
 		}
 		// Advance to the earliest completion(s). The sweep consumes the
 		// whole tie set at the minimum, merges released processors back
@@ -727,5 +803,5 @@ func (e *evalCtx) listSchedule(alloc []int) (*schedule.Schedule, error) {
 		running = still
 	}
 	sc.running = running[:0]
-	return s, nil
+	return s, mk, nil
 }

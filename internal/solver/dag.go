@@ -52,10 +52,11 @@ func (d dagSolver) Solve(in *instance.Instance, o Options) (Solution, error) {
 		return Solution{}, err
 	}
 	po := precedence.Options{
-		Compiled: o.Compiled,
-		Scratch:  o.Scratch,
-		Warm:     o.WarmStart,
-		Legacy:   o.Legacy,
+		Compiled:  o.Compiled,
+		Scratch:   o.Scratch,
+		Warm:      o.WarmStart,
+		Legacy:    o.Legacy,
+		Interrupt: o.Interrupt,
 	}
 	var r precedence.Result
 	if d.refine {
